@@ -2,29 +2,39 @@ package bsp
 
 import "predict/internal/graph"
 
-// assignHash computes the engine's hash placement for g across workers:
-// part[v] is the worker owning vertex v, and vertices/outEdges are the
-// per-worker tallies. This is THE assignment the engine's setup phase
-// uses — PartitionStats and Engine.Run both call it, so the predicted
-// and executed placements cannot drift (pinned by the partition tests).
-func assignHash(g *graph.Graph, workers int) (part []int32, vertices, outEdges []int64) {
-	n := g.NumVertices()
+// clampWorkers normalizes a worker count for a graph of n vertices:
+// at least one worker, and never more workers than vertices.
+func clampWorkers(workers, n int) int {
 	if workers < 1 {
 		workers = 1
 	}
 	if workers > n && n > 0 {
 		workers = n
 	}
-	part = make([]int32, n)
+	return workers
+}
+
+// assignHash computes the engine's hash placement for g across workers:
+// vertices/outEdges are the per-worker tallies, and when part is non-nil
+// (length NumVertices) part[v] receives the worker owning vertex v. This
+// is THE assignment the engine's setup phase uses — PartitionStats,
+// CriticalShareOf and Engine.Run all call it, so the predicted and
+// executed placements cannot drift (pinned by the partition tests). The
+// diagnostics pass a nil part and allocate only the per-worker tallies.
+func assignHash(g *graph.Graph, workers int, part []int32) (vertices, outEdges []int64) {
+	n := g.NumVertices()
+	workers = clampWorkers(workers, n)
 	vertices = make([]int64, workers)
 	outEdges = make([]int64, workers)
 	for v := 0; v < n; v++ {
 		w := partitionWorker(VertexID(v), workers)
-		part[v] = int32(w)
+		if part != nil {
+			part[v] = int32(w)
+		}
 		vertices[w]++
 		outEdges[w] += int64(g.OutDegree(VertexID(v)))
 	}
-	return part, vertices, outEdges
+	return vertices, outEdges
 }
 
 // maxEdgeShare returns the largest worker's fraction of the summed
@@ -51,14 +61,26 @@ func maxEdgeShare(outEdges []int64) float64 {
 // this computation on the read phase to locate the critical-path worker
 // before the superstep phase starts (§3.4).
 func PartitionStats(g *graph.Graph, workers int) (vertices, outEdges []int64) {
-	_, vertices, outEdges = assignHash(g, workers)
-	return vertices, outEdges
+	return assignHash(g, workers, nil)
 }
 
 // CriticalShareOf returns the critical-path worker's fraction of all
 // outbound edges under the engine's hash partitioning of g across workers.
+// Like the paper's read-phase computation it is paid once per (graph,
+// worker count): the share is memoized on g (graph.MemoizedShare), so
+// repeated extrapolations against a cached graph cost a lookup, not a
+// pass over every vertex.
 func CriticalShareOf(g *graph.Graph, workers int) float64 {
-	_, outEdges := PartitionStats(g, workers)
+	n := g.NumVertices()
+	if n == 0 {
+		return 0
+	}
+	return g.MemoizedShare(clampWorkers(workers, n), hashCriticalShare)
+}
+
+// hashCriticalShare is CriticalShareOf's uncached computation.
+func hashCriticalShare(g *graph.Graph, workers int) float64 {
+	_, outEdges := assignHash(g, workers, nil)
 	return maxEdgeShare(outEdges)
 }
 

@@ -142,7 +142,7 @@ func (f *Fitted) ExtrapolateBlended(g *graph.Graph, workers int, observed []floa
 	if threshold <= 0 {
 		threshold = DefaultObservationThreshold
 	}
-	pred, err := f.Extrapolate(g, workers)
+	pred, scale, shareFactor, err := f.extrapolate(g, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -159,13 +159,7 @@ func (f *Fitted) ExtrapolateBlended(g *graph.Graph, workers int, observed []floa
 	// re-run — its greedy path is sensitive to single rows, and feedback
 	// must move predictions monotonically toward the observed mean, not
 	// jump between structural hypotheses.
-	if workers <= 0 {
-		workers = f.SampleWorkers
-	}
-	scale, shareFactor, _, err := f.extrapolationScale(g, workers)
-	if err != nil {
-		return nil, err
-	}
+
 	// Full-scale feature vectors, one per sample-run iteration — the x
 	// side of every observation-derived row.
 	vectors := make([]features.Vector, len(f.IterFeatures))

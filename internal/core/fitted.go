@@ -230,16 +230,41 @@ func (p *Predictor) FitContext(ctx context.Context, alg algorithms.Algorithm, g 
 // critical-path share moves — at the cost of stepping outside the paper's
 // matched-environment assumption.
 func (f *Fitted) Extrapolate(g *graph.Graph, workers int) (*Prediction, error) {
+	pred, _, _, err := f.extrapolate(g, workers)
+	return pred, err
+}
+
+// extrapolate is Extrapolate that also returns the scale and critical-path
+// share factor it priced with, so ExtrapolateBlended can re-price through
+// a refitted model without computing them a second time.
+func (f *Fitted) extrapolate(g *graph.Graph, workers int) (pred *Prediction, scale features.Scale, shareFactor float64, err error) {
 	if workers <= 0 {
 		workers = f.SampleWorkers
 	}
-	scale, shareFactor, shareG, err := f.extrapolationScale(g, workers)
+	// Extrapolation factors from full-graph and sample sizes.
+	scale, err = features.NewScale(g.NumVertices(), f.SampleVertices,
+		g.NumEdges(), f.SampleEdges)
 	if err != nil {
-		return nil, err
+		return nil, features.Scale{}, 0, fmt.Errorf("core: %w", err)
+	}
+	if f.VerticesOnly {
+		scale = scale.VerticesOnly()
+	}
+
+	// Critical-path adjustment: move vectors from the sample graph's
+	// critical share to the full graph's (both known before execution;
+	// bsp.CriticalShareOf memoizes g's per worker count). Both shares are
+	// computed on the *input* graphs so they stay consistent for
+	// algorithms that internally symmetrize (the symmetrization distorts
+	// both shares equally, so the ratio holds).
+	shareFactor = 1.0
+	shareG := bsp.CriticalShareOf(g, workers)
+	if f.Mode == features.ModeCriticalShare && f.SampleCriticalShare > 0 && shareG > 0 {
+		shareFactor = shareG / f.SampleCriticalShare
 	}
 
 	// Per-iteration prediction on extrapolated features.
-	pred := &Prediction{
+	pred = &Prediction{
 		Algorithm:           f.Algorithm,
 		Iterations:          f.Iterations,
 		Model:               f.Model,
@@ -259,35 +284,5 @@ func (f *Fitted) Extrapolate(g *graph.Graph, workers int) (*Prediction, error) {
 			pred.PredictedRemoteMessageBytes += f.RemoteBytesPerIter[i] * scale.EE
 		}
 	}
-	return pred, nil
-}
-
-// extrapolationScale computes the extrapolation inputs shared by
-// Extrapolate and ExtrapolateBlended: the eV/eE scale from sample to g,
-// the §3.4 critical-path share rescaling factor, and g's structural
-// critical share at the given worker count. Both callers must price
-// feature vectors through identical arithmetic, so the computation lives
-// in one place.
-func (f *Fitted) extrapolationScale(g *graph.Graph, workers int) (scale features.Scale, shareFactor, shareG float64, err error) {
-	// Extrapolation factors from full-graph and sample sizes.
-	scale, err = features.NewScale(g.NumVertices(), f.SampleVertices,
-		g.NumEdges(), f.SampleEdges)
-	if err != nil {
-		return features.Scale{}, 0, 0, fmt.Errorf("core: %w", err)
-	}
-	if f.VerticesOnly {
-		scale = scale.VerticesOnly()
-	}
-
-	// Critical-path adjustment: move vectors from the sample graph's
-	// critical share to the full graph's (both known before execution).
-	// Both shares are computed on the *input* graphs so they stay
-	// consistent for algorithms that internally symmetrize (the
-	// symmetrization distorts both shares equally, so the ratio holds).
-	shareFactor = 1.0
-	shareG = bsp.CriticalShareOf(g, workers)
-	if f.Mode == features.ModeCriticalShare && f.SampleCriticalShare > 0 && shareG > 0 {
-		shareFactor = shareG / f.SampleCriticalShare
-	}
-	return scale, shareFactor, shareG, nil
+	return pred, scale, shareFactor, nil
 }

@@ -139,3 +139,65 @@ func sortedFromCounts(counts []int, n int) []int {
 	}
 	return sorted
 }
+
+// MaxMemoizedShares caps how many worker counts one graph memoizes in
+// MemoizedShare. A what-if sweep touches a handful of cluster sizes, but
+// the worker count arrives unbounded in requests, so past the cap shares
+// are computed and returned without being stored.
+const MaxMemoizedShares = 64
+
+// shareEntry is one memoized (worker count, critical share) pair.
+type shareEntry struct {
+	workers int
+	share   float64
+}
+
+// MemoizedShare returns the critical-path share of g at the given worker
+// count, computing it with compute(g, workers) the first time a worker
+// count is asked for and serving it from memory afterwards. The share is
+// a pure function of the immutable graph and the worker count, so the
+// memo never goes stale. Every caller must pass the same computation
+// (bsp's hash placement) and a normalized worker count: the memo is keyed
+// by workers alone. At most MaxMemoizedShares worker counts are stored.
+//
+// Lookups are lock-free: they scan an immutable snapshot that inserts
+// replace copy-on-write. Safe for concurrent use; callers racing on the
+// same miss may each compute the share, and the first to finish stores it.
+func (g *Graph) MemoizedShare(workers int, compute func(*Graph, int) float64) float64 {
+	if p := g.shares.Load(); p != nil {
+		for _, e := range *p {
+			if e.workers == workers {
+				return e.share
+			}
+		}
+	}
+	share := compute(g, workers)
+	g.shareMu.Lock()
+	defer g.shareMu.Unlock()
+	var cur []shareEntry
+	if p := g.shares.Load(); p != nil {
+		cur = *p
+	}
+	if len(cur) >= MaxMemoizedShares {
+		return share
+	}
+	for _, e := range cur {
+		if e.workers == workers {
+			return share
+		}
+	}
+	next := make([]shareEntry, len(cur), len(cur)+1)
+	copy(next, cur)
+	next = append(next, shareEntry{workers: workers, share: share})
+	g.shares.Store(&next)
+	return share
+}
+
+// MemoizedShares reports how many worker counts MemoizedShare has stored
+// for g (at most MaxMemoizedShares).
+func (g *Graph) MemoizedShares() int {
+	if p := g.shares.Load(); p != nil {
+		return len(*p)
+	}
+	return 0
+}

@@ -47,6 +47,13 @@ type Graph struct {
 	inDegOnce   sync.Once
 	sortedInDeg []int
 
+	// Memoized critical shares per worker count (MemoizedShare; see
+	// artifacts.go). Readers load the immutable snapshot lock-free;
+	// shareMu serializes the copy-on-write inserts. The memo lives and
+	// dies with the graph, so evicting a graph from a cache drops it too.
+	shareMu sync.Mutex
+	shares  atomic.Pointer[[]shareEntry]
+
 	// mapped is non-nil for graphs whose CSR slices alias an mmap'd
 	// snapshot (MmapSnapshot). The reference keeps the mapping alive for
 	// as long as the Graph is reachable, so the finalizer-driven munmap

@@ -69,3 +69,45 @@ func TestEnsureInEdgesConcurrent(t *testing.T) {
 		}
 	}
 }
+
+// TestMemoizedShareCachesUpToCap pins the memo's contract with a counting
+// computation: a stored worker count is computed once, the memo stops
+// growing at MaxMemoizedShares, and counts past the cap are recomputed
+// on every call, with the computed value returned each time.
+func TestMemoizedShareCachesUpToCap(t *testing.T) {
+	g := new(Graph)
+	var mu sync.Mutex
+	calls := map[int]int{}
+	compute := func(_ *Graph, workers int) float64 {
+		mu.Lock()
+		defer mu.Unlock()
+		calls[workers]++
+		return 1 / float64(workers)
+	}
+	const distinct = MaxMemoizedShares + 10
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for w := 1; w <= distinct; w++ {
+				if got := g.MemoizedShare(w, compute); got != 1/float64(w) {
+					t.Errorf("MemoizedShare(%d) = %v, want %v", w, got, 1/float64(w))
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if m := g.MemoizedShares(); m != MaxMemoizedShares {
+		t.Fatalf("%d worker counts memoized, want the cap %d", m, MaxMemoizedShares)
+	}
+	// Count calls from here on: stored counts must not compute again,
+	// counts past the cap compute on every call.
+	calls = map[int]int{}
+	for w := 1; w <= distinct; w++ {
+		g.MemoizedShare(w, compute)
+	}
+	if len(calls) != distinct-MaxMemoizedShares {
+		t.Errorf("%d worker counts recomputed, want the %d past the cap", len(calls), distinct-MaxMemoizedShares)
+	}
+}

@@ -553,11 +553,23 @@ func (s *Service) modelKey(r PredictRequest, registryKey string) string {
 	return string(s.appendModelKey(nil, r, registryKey))
 }
 
+// appendGraphKey appends a generated graph's cache key,
+// "prefix|scale|seed", to b — no fmt formatting, so the warm path pays no
+// boxing or scratch allocation for it.
+func appendGraphKey(b []byte, r PredictRequest) []byte {
+	b = append(b, r.Dataset...)
+	b = append(b, '|')
+	b = strconv.AppendFloat(b, r.Scale, 'g', -1, 64)
+	b = append(b, '|')
+	return strconv.AppendUint(b, r.GraphSeed, 10)
+}
+
 // graphFor returns the requested dataset graph: the registry file at
 // path when the caller resolved one (registryKey non-empty; loaded from
 // disk at most once per file version), a generated stand-in otherwise
-// (generated at most once per (prefix, scale, seed)).
-func (s *Service) graphFor(ctx context.Context, r PredictRequest, path, registryKey string) (*graph.Graph, error) {
+// (generated at most once per (prefix, scale, seed), cached under key,
+// which the caller built with appendGraphKey).
+func (s *Service) graphFor(ctx context.Context, r PredictRequest, path, registryKey, key string) (*graph.Graph, error) {
 	if registryKey != "" {
 		// Registry datasets are fixed files: the generator knobs do not
 		// apply, and silently ignoring them would fragment the model cache
@@ -573,7 +585,6 @@ func (s *Service) graphFor(ctx context.Context, r PredictRequest, path, registry
 		g, _, err := s.loadDataset(ctx, r.Dataset, path, registryKey)
 		return g, err
 	}
-	key := fmt.Sprintf("%s|%g|%d", r.Dataset, r.Scale, r.GraphSeed)
 	g, _, err := s.graphs.get(ctx, key, func() (*graph.Graph, error) {
 		ds, err := gen.ByPrefix(r.Dataset)
 		if err != nil {
@@ -645,16 +656,20 @@ func (s *Service) predictInto(ctx context.Context, req PredictRequest, out *Pred
 		registryKey = datasetKey(req.Dataset, fi)
 	}
 
-	// One buffer builds both keys; the model key is a prefix slice of the
-	// coalescer key, so the whole request path pays a single string
-	// allocation for its keys.
+	// One buffer builds all three keys; the model key is a prefix slice of
+	// the coalescer key and a generated graph's cache key follows it, so
+	// the whole request path pays a single string allocation for its keys.
 	kb := make([]byte, 0, 192)
 	kb = s.appendModelKey(kb, req, registryKey)
 	modelKeyLen := len(kb)
 	kb = append(kb, "|w="...)
 	kb = strconv.AppendInt(kb, int64(req.Workers), 10)
-	ckey := string(kb)
-	key := ckey[:modelKeyLen]
+	ckeyLen := len(kb)
+	if registryKey == "" {
+		kb = appendGraphKey(kb, req)
+	}
+	keys := string(kb)
+	ckey, key, graphKey := keys[:ckeyLen], keys[:modelKeyLen], keys[ckeyLen:]
 
 	// The whole prediction — graph lookup, model lookup, extrapolation,
 	// response assembly — runs coalesced: concurrent identical requests
@@ -663,7 +678,7 @@ func (s *Service) predictInto(ctx context.Context, req PredictRequest, out *Pred
 	// detached from ctx (like the cache fills inside it), so a canceled
 	// request abandons only its response.
 	tmpl, joinedDone, err := s.coalesce.do(ctx, ckey, func() (*PredictResponse, error) {
-		return s.computePrediction(req, path, registryKey, key)
+		return s.computePrediction(req, path, registryKey, graphKey, key)
 	})
 	if err != nil {
 		if ctx.Err() != nil {
@@ -702,8 +717,8 @@ func (s *Service) predictInto(ctx context.Context, req PredictRequest, out *Pred
 // validation and key construction. It runs detached from any request
 // context; its response template is immutable once returned (sharers
 // copy it), with ElapsedMillis left zero for the per-request stamp.
-func (s *Service) computePrediction(req PredictRequest, path, registryKey, key string) (*PredictResponse, error) {
-	g, err := s.graphFor(context.Background(), req, path, registryKey)
+func (s *Service) computePrediction(req PredictRequest, path, registryKey, graphKey, key string) (*PredictResponse, error) {
+	g, err := s.graphFor(context.Background(), req, path, registryKey, graphKey)
 	if err != nil {
 		var se *Error
 		if errors.As(err, &se) {
