@@ -164,7 +164,7 @@ func (f *Fitted) ExtrapolateBlended(g *graph.Graph, workers int, observed []floa
 	// side of every observation-derived row.
 	vectors := make([]features.Vector, len(f.IterFeatures))
 	for i, it := range f.IterFeatures {
-		vectors[i] = scale.Apply(it.Vector).RescaleShare(shareFactor)
+		vectors[i] = scale.ApplyShareInto(nil, it.Vector, shareFactor)
 	}
 	// The sample-fit per-iteration shape distributes each observed total.
 	var baseTotal float64

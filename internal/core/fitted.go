@@ -274,9 +274,11 @@ func (f *Fitted) extrapolate(g *graph.Graph, workers int) (pred *Prediction, sca
 		SampleRunSeconds:    f.SampleRunSeconds,
 		CriticalShareSample: f.ProfiledCriticalShare,
 		CriticalShareFull:   shareG,
+		PerIterationSeconds: make([]float64, 0, len(f.IterFeatures)),
 	}
+	var x features.Vector // one buffer reused across iterations
 	for i, it := range f.IterFeatures {
-		x := scale.Apply(it.Vector).RescaleShare(shareFactor)
+		x = scale.ApplyShareInto(x, it.Vector, shareFactor)
 		secs := f.Model.PredictIteration(x)
 		pred.PerIterationSeconds = append(pred.PerIterationSeconds, secs)
 		pred.SuperstepSeconds += secs

@@ -139,7 +139,9 @@ func Start(t *testing.T, args []string, env ...string) *Server {
 	})
 
 	addrc := make(chan string, 1)
+	scanned := make(chan struct{})
 	go func() {
+		defer close(scanned)
 		defer pr.Close()
 		sc := bufio.NewScanner(pr)
 		sent := false
@@ -154,7 +156,13 @@ func Start(t *testing.T, args []string, env ...string) *Server {
 			}
 		}
 	}()
-	go func() { s.waitc <- s.cmd.Wait() }()
+	// Report the exit only once the scanner has drained the pipe, so
+	// Output after WaitExit holds every line the process wrote.
+	go func() {
+		err := s.cmd.Wait()
+		<-scanned
+		s.waitc <- err
+	}()
 
 	select {
 	case s.Addr = <-addrc:

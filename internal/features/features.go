@@ -59,11 +59,6 @@ func (v Vector) Get(n Name) float64 {
 	return v[i]
 }
 
-// Clone returns a copy of v.
-func (v Vector) Clone() Vector {
-	return append(Vector(nil), v...)
-}
-
 // IterationFeatures pairs one iteration's feature vector with that
 // iteration's simulated runtime (the regression target).
 type IterationFeatures struct {
@@ -149,33 +144,23 @@ func (s Scale) VerticesOnly() Scale {
 	return Scale{EV: s.EV, EE: s.EV}
 }
 
-// Apply extrapolates a sample-run feature vector to full-graph scale:
-// vertex-driven features (ActVert, TotVert) scale by eV, message features
-// by eE, and AvgMsgSize is preserved (Table 1's "Extrapolation" column).
-func (s Scale) Apply(v Vector) Vector {
-	out := v.Clone()
-	out[0] *= s.EV // ActVert
-	out[1] *= s.EV // TotVert
-	out[2] *= s.EE // LocMsg
-	out[3] *= s.EE // RemMsg
-	out[4] *= s.EE // LocMsgSize
-	out[5] *= s.EE // RemMsgSize
-	// out[6] AvgMsgSize: no extrapolation
-	out[7] *= s.EE // SpillBytes
-	return out
-}
-
-// RescaleShare multiplies every load-dependent feature by factor, leaving
-// AvgMsgSize untouched. The predictor uses it to move a vector from the
-// sample graph's critical-path share to the full graph's (both computable
-// in the read phase).
-func (v Vector) RescaleShare(factor float64) Vector {
-	out := v.Clone()
-	for i := range out {
-		if i == 6 { // AvgMsgSize is load-independent
-			continue
-		}
-		out[i] *= factor
-	}
-	return out
+// ApplyShareInto extrapolates a sample-run feature vector to full-graph
+// scale and moves it to the full graph's critical-path share, writing the
+// result into dst (grown as needed; nil allocates) and returning it.
+// Vertex-driven features (ActVert, TotVert) scale by eV, message features
+// by eE, and AvgMsgSize is preserved (Table 1's "Extrapolation" column);
+// every load-dependent feature is then multiplied by share, the ratio of
+// the full graph's critical share to the sample's (both computable in the
+// read phase).
+func (s Scale) ApplyShareInto(dst, v Vector, share float64) Vector {
+	dst = append(dst[:0], v...)
+	dst[0] = dst[0] * s.EV * share // ActVert
+	dst[1] = dst[1] * s.EV * share // TotVert
+	dst[2] = dst[2] * s.EE * share // LocMsg
+	dst[3] = dst[3] * s.EE * share // RemMsg
+	dst[4] = dst[4] * s.EE * share // LocMsgSize
+	dst[5] = dst[5] * s.EE * share // RemMsgSize
+	// dst[6] AvgMsgSize: load-independent, neither extrapolated nor rescaled
+	dst[7] = dst[7] * s.EE * share // SpillBytes
+	return dst
 }

@@ -38,7 +38,9 @@ type cacheShard[V any] struct {
 	entries  map[string]*list.Element
 	inflight map[string]*flight[V]
 
-	hits, misses, evictions int64
+	// joined counts requests that found key's fill in flight and waited
+	// on it instead of starting their own.
+	hits, misses, evictions, joined int64
 }
 
 // entry is one cached value plus bookkeeping.
@@ -96,8 +98,9 @@ func (c *cache[V]) shard(key string) *cacheShard[V] {
 // get returns the cached value for key, filling it with fill on a miss.
 // The boolean reports a cache hit; waiters on an in-flight fill report a
 // miss, since they pay cold-path latency (the initiator already counted
-// the miss, so they count neither). If ctx expires, get returns ctx.Err()
-// but the fill keeps running and caches its result for later requests.
+// the miss, so they count as joined instead). If ctx expires, get returns
+// ctx.Err() but the fill keeps running and caches its result for later
+// requests.
 func (c *cache[V]) get(ctx context.Context, key string, fill func() (V, error)) (V, bool, error) {
 	s := c.shard(key)
 	s.mu.Lock()
@@ -110,7 +113,9 @@ func (c *cache[V]) get(ctx context.Context, key string, fill func() (V, error)) 
 		return e.val, true, nil
 	}
 	f, ok := s.inflight[key]
-	if !ok {
+	if ok {
+		s.joined++
+	} else {
 		f = &flight[V]{done: make(chan struct{})}
 		s.inflight[key] = f
 		s.misses++
@@ -202,13 +207,14 @@ func (c *cache[V]) len() int {
 	return n
 }
 
-func (c *cache[V]) counters() (hits, misses, evictions int64) {
+func (c *cache[V]) counters() (hits, misses, evictions, joined int64) {
 	for _, s := range c.shards {
 		s.mu.Lock()
 		hits += s.hits
 		misses += s.misses
 		evictions += s.evictions
+		joined += s.joined
 		s.mu.Unlock()
 	}
-	return hits, misses, evictions
+	return hits, misses, evictions, joined
 }

@@ -362,6 +362,79 @@ func TestChaosFlakyDatasetLoadRetries(t *testing.T) {
 	}
 }
 
+// TestChaosCanceledLoadInitiatorKeepsSharedFill cancels the request that
+// started a shared registry load while the load sits in its retry backoff
+// after an injected transient fault. The fill belongs to every waiter, so
+// the canceled initiator gets its 504 and a live second caller that joined
+// the same fill still gets the graph.
+func TestChaosCanceledLoadInitiatorKeepsSharedFill(t *testing.T) {
+	dir := t.TempDir()
+	g := testWikiGraph(t)
+	if err := graph.WriteSnapshotFile(filepath.Join(dir, "social.snap"), g); err != nil {
+		t.Fatal(err)
+	}
+	in := faultinject.NewInjector(chaosSeed(t), faultinject.Rule{
+		Point: faultinject.PointGraphLoadFile,
+		Count: 1,
+		Err:   retry.Transient(errors.New("injected flaky read")),
+	})
+	defer faultinject.Enable(in)()
+	// A long backoff holds the fill between its two attempts while the
+	// test cancels the initiator.
+	svc := New(Config{DatasetDir: dir, RetryBaseDelay: 2 * time.Second, RetryMaxDelay: 2 * time.Second})
+
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+	type result struct {
+		info *DatasetInfo
+		err  error
+	}
+	load := func(ctx context.Context) <-chan result {
+		ch := make(chan result, 1)
+		go func() {
+			info, _, err := svc.LoadDataset(ctx, "social")
+			ch <- result{info, err}
+		}()
+		return ch
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	first := load(ctx)
+	waitFor("the first attempt to fail into backoff", func() bool { return svc.Stats().IORetries == 1 })
+	second := load(context.Background())
+	waitFor("the second caller to join the fill", func() bool {
+		_, _, _, joined := svc.graphs.counters()
+		return joined == 1
+	})
+	cancel()
+
+	r := <-first
+	var se *Error
+	if !errors.As(r.err, &se) || se.Status != http.StatusGatewayTimeout {
+		t.Fatalf("canceled initiator: err = %v, want a 504 service error", r.err)
+	}
+	r = <-second
+	if r.err != nil {
+		t.Fatalf("live waiter lost the shared load when the initiator was canceled: %v", r.err)
+	}
+	if r.info.Vertices != g.NumVertices() {
+		t.Fatalf("live waiter loaded %d vertices, want %d", r.info.Vertices, g.NumVertices())
+	}
+	if got := in.Hits(faultinject.PointGraphLoadFile); got != 2 {
+		t.Fatalf("load attempts = %d, want 2 (%s)", got, in)
+	}
+	if st := svc.Stats(); st.Coalesced != 1 {
+		t.Fatalf("coalesced = %d, want 1 (the second caller joined the fill)", st.Coalesced)
+	}
+}
+
 // TestChaosReadinessDegradesAndRecovers breaks the service's dependencies
 // while it is serving warm traffic: /readyz flips to 503 (and /healthz
 // reports degraded, still 200 — liveness must not get the process

@@ -191,7 +191,11 @@ func (s *Service) loadDataset(ctx context.Context, name, path, key string) (*gra
 		// syscall) retry under jittered backoff instead of failing a load
 		// the next attempt would have served; permanent errors (corrupt
 		// snapshot, not-found) fail immediately — see retry.IsTransient.
-		err := s.ioRetryPolicy().Do(ctx, retry.IsTransient, func() error {
+		// The fill is shared by every concurrent caller of key, so the
+		// backoff must not stop when the caller that happened to start it
+		// goes away: it keeps ctx's values but not its cancellation. Each
+		// caller still stops waiting on its own ctx.
+		err := s.ioRetryPolicy().Do(context.WithoutCancel(ctx), retry.IsTransient, func() error {
 			var loadErr error
 			if s.cfg.MmapDatasets && filepath.Ext(path) == snapshotExt {
 				// Zero-copy generation: the graph aliases the mmap'd file, the

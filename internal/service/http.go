@@ -401,8 +401,8 @@ var codecPool = sync.Pool{New: func() any {
 
 // respPool recycles the response structs the /predict handler fills —
 // predictInto overwrites every field, so entries carry no state between
-// requests (the slices they point at belong to immutable templates and
-// are never written through).
+// requests (the slices they point at are fresh per request and never
+// written through after encoding).
 var respPool = sync.Pool{New: func() any { return new(PredictResponse) }}
 
 // readBody reads the size-limited request body into the codec's reused

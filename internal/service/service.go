@@ -106,16 +106,6 @@ type Config struct {
 	// (/predict and /predict/batch each count one); excess requests are
 	// shed with 429 + Retry-After. Zero or negative means unlimited.
 	MaxInFlight int
-	// BatchWindow coalesces identical predictions beyond the model
-	// cache's single-flight: requests for the same (model key, workers)
-	// that overlap in flight always share one computation, and a positive
-	// window additionally keeps each computed prediction shareable for
-	// that long after it completes — a sustained stream of identical warm
-	// requests then pays one extrapolation per window, not per request.
-	// Predictions are deterministic, so sharing never changes response
-	// bytes (only elapsed_ms, stamped per request). Zero coalesces
-	// overlapping requests only.
-	BatchWindow time.Duration
 	// ShedRetryAfter is the Retry-After hint attached to shed (429/503)
 	// responses; zero selects 1s.
 	ShedRetryAfter time.Duration
@@ -243,14 +233,13 @@ func (c Config) withDefaults() Config {
 // Service answers prediction requests from cached graphs and cost models.
 // All methods are safe for concurrent use.
 type Service struct {
-	cfg      Config
-	models   *cache[*core.Fitted]
-	graphs   *cache[*graph.Graph]
-	fitPool  *parallel.Pool
-	fitGate  *gate // bounds outstanding cold fits (admission control)
-	reqGate  *gate // optional bound on in-flight requests
-	coalesce *coalescer
-	start    time.Time
+	cfg     Config
+	models  *cache[*core.Fitted]
+	graphs  *cache[*graph.Graph]
+	fitPool *parallel.Pool
+	fitGate *gate // bounds outstanding cold fits (admission control)
+	reqGate *gate // optional bound on in-flight requests
+	start   time.Time
 	// oracleFP fingerprints the cost oracle once at construction — it
 	// never changes afterwards, so modelKey must not re-hash it per
 	// request (reflection-heavy and allocating).
@@ -327,7 +316,6 @@ func New(cfg Config) *Service {
 		fitPool:    parallel.NewPool(cfg.FitParallelism),
 		fitGate:    newGate(cfg.FitQueueDepth),
 		reqGate:    newGate(cfg.MaxInFlight),
-		coalesce:   newCoalescer(cfg.BatchWindow),
 		oracleFP:   h.Sum64(),
 		start:      time.Now(),
 		breakers:   newBreakerSet(cfg.FitBreakerThreshold, cfg.FitBreakerCooldown),
@@ -656,51 +644,25 @@ func (s *Service) predictInto(ctx context.Context, req PredictRequest, out *Pred
 		registryKey = datasetKey(req.Dataset, fi)
 	}
 
-	// One buffer builds all three keys; the model key is a prefix slice of
-	// the coalescer key and a generated graph's cache key follows it, so
-	// the whole request path pays a single string allocation for its keys.
+	// One buffer builds both keys: a generated graph's cache key follows
+	// the model key, so the whole request path pays a single string
+	// allocation for its keys.
 	kb := make([]byte, 0, 192)
 	kb = s.appendModelKey(kb, req, registryKey)
 	modelKeyLen := len(kb)
-	kb = append(kb, "|w="...)
-	kb = strconv.AppendInt(kb, int64(req.Workers), 10)
-	ckeyLen := len(kb)
 	if registryKey == "" {
 		kb = appendGraphKey(kb, req)
 	}
 	keys := string(kb)
-	ckey, key, graphKey := keys[:ckeyLen], keys[:modelKeyLen], keys[ckeyLen:]
+	key, graphKey := keys[:modelKeyLen], keys[modelKeyLen:]
 
-	// The whole prediction — graph lookup, model lookup, extrapolation,
-	// response assembly — runs coalesced: concurrent identical requests
-	// share one computation, and a configured batch window keeps the
-	// result shareable briefly after it completes. The computation is
-	// detached from ctx (like the cache fills inside it), so a canceled
-	// request abandons only its response.
-	tmpl, joinedDone, err := s.coalesce.do(ctx, ckey, func() (*PredictResponse, error) {
-		return s.computePrediction(req, path, registryKey, graphKey, key)
-	})
-	if err != nil {
+	if err := s.computePrediction(ctx, req, path, registryKey, graphKey, key, out); err != nil {
 		if ctx.Err() != nil {
 			return &Error{Status: 504, Msg: fmt.Sprintf(
 				"service: request timed out predicting %s on dataset %s", req.Algorithm, req.Dataset)}
 		}
-		var se *Error
-		if errors.As(err, &se) {
-			return se
-		}
-		return &Error{Status: 500, Msg: err.Error()}
+		return err
 	}
-	*out = *tmpl
-	if joinedDone {
-		// A sharer that arrived after the computation finished is a cache
-		// hit no matter what the computing request observed: the model was
-		// cached before this request began.
-		out.CacheHit = true
-	}
-	// The deadline probability is per-request (deadline_seconds is not in
-	// the coalescing key), derived from the shared template's distribution
-	// after the copy.
 	if req.DeadlineSeconds > 0 {
 		d := core.Distribution{
 			MeanSeconds:   out.SuperstepSeconds,
@@ -713,21 +675,24 @@ func (s *Service) predictInto(ctx context.Context, req PredictRequest, out *Pred
 	return nil
 }
 
-// computePrediction is the coalesced unit of work: everything past
-// validation and key construction. It runs detached from any request
-// context; its response template is immutable once returned (sharers
-// copy it), with ElapsedMillis left zero for the per-request stamp.
-func (s *Service) computePrediction(req PredictRequest, path, registryKey, graphKey, key string) (*PredictResponse, error) {
-	g, err := s.graphFor(context.Background(), req, path, registryKey, graphKey)
+// computePrediction is everything past validation and key construction:
+// graph lookup, model lookup (fitting on a miss), extrapolation and
+// response assembly into out. The caches' single-flight is the only
+// sharing between requests: concurrent misses on one graph or model key
+// share one fill, which runs detached from ctx, so a request whose ctx
+// expires abandons only its own response while the fill still warms the
+// cache. Every error it returns is an *Error.
+func (s *Service) computePrediction(ctx context.Context, req PredictRequest, path, registryKey, graphKey, key string, out *PredictResponse) error {
+	g, err := s.graphFor(ctx, req, path, registryKey, graphKey)
 	if err != nil {
 		var se *Error
 		if errors.As(err, &se) {
-			return nil, se
+			return se
 		}
-		return nil, &Error{Status: 400, Msg: err.Error()}
+		return &Error{Status: 400, Msg: err.Error()}
 	}
 
-	fitted, hit, err := s.models.get(context.Background(), key, func() (*core.Fitted, error) {
+	fitted, hit, err := s.models.get(ctx, key, func() (*core.Fitted, error) {
 		// The breaker runs before the fit gate: while it is open, requests
 		// for this key must not consume fit-queue slots that working keys
 		// could use.
@@ -756,9 +721,9 @@ func (s *Service) computePrediction(req PredictRequest, path, registryKey, graph
 	if err != nil {
 		var se *Error
 		if errors.As(err, &se) {
-			return nil, se
+			return se
 		}
-		return nil, &Error{Status: 500, Msg: err.Error()}
+		return &Error{Status: 500, Msg: err.Error()}
 	}
 
 	// Closed-loop blending: the key's observed actual runtimes (if any)
@@ -767,7 +732,7 @@ func (s *Service) computePrediction(req PredictRequest, path, registryKey, graph
 	// to Extrapolate.
 	pred, err := fitted.ExtrapolateBlended(g, req.Workers, s.observationsFor(key), s.cfg.BlendThreshold)
 	if err != nil {
-		return nil, &Error{Status: 500, Msg: err.Error()}
+		return &Error{Status: 500, Msg: err.Error()}
 	}
 	switch pred.Runtime.Regime {
 	case core.RegimeInterpolation:
@@ -779,7 +744,7 @@ func (s *Service) computePrediction(req PredictRequest, path, registryKey, graph
 	if workers == 0 {
 		workers = fitted.SampleWorkers
 	}
-	resp := &PredictResponse{
+	*out = PredictResponse{
 		Algorithm:           pred.Algorithm,
 		Dataset:             req.Dataset,
 		Iterations:          pred.Iterations,
@@ -798,9 +763,9 @@ func (s *Service) computePrediction(req PredictRequest, path, registryKey, graph
 		Observations:        pred.Runtime.Observations,
 	}
 	for _, f := range pred.Model.SelectedFeatures() {
-		resp.ModelFeatures = append(resp.ModelFeatures, string(f))
+		out.ModelFeatures = append(out.ModelFeatures, string(f))
 	}
-	return resp, nil
+	return nil
 }
 
 // ceilSeconds converts a wait into a whole-second Retry-After hint, at
@@ -1111,8 +1076,9 @@ type Stats struct {
 	PoolInFlight int64 `json:"pool_in_flight"`
 	PoolDepth    int64 `json:"pool_depth"`
 	// Requests counts Predict calls ever served (batch items count
-	// individually); Coalesced counts responses answered by sharing
-	// another request's prediction computation.
+	// individually); Coalesced counts requests that joined another
+	// request's in-flight model or graph fill instead of starting their
+	// own (the caches' single-flight).
 	Requests  int64 `json:"requests"`
 	Coalesced int64 `json:"coalesced"`
 	// FitQueueCap is the admission bound on outstanding cold fits (0 =
@@ -1155,8 +1121,7 @@ type Stats struct {
 	Observations int64 `json:"observations"`
 	ObservedKeys int   `json:"observed_keys"`
 	// BlendExtrapolation/BlendInterpolation tally predictions answered by
-	// each closed-loop regime (coalesced sharers count once, with the
-	// computing request).
+	// each closed-loop regime.
 	BlendExtrapolation int64 `json:"blend_extrapolation"`
 	BlendInterpolation int64 `json:"blend_interpolation"`
 	// Goroutines and OpenFDs are process-level leak canaries the soak
@@ -1167,7 +1132,8 @@ type Stats struct {
 
 // Stats returns a snapshot of the cache, fit and pool counters.
 func (s *Service) Stats() Stats {
-	h, m, ev := s.models.counters()
+	h, m, ev, joined := s.models.counters()
+	_, _, _, graphsJoined := s.graphs.counters()
 	st := Stats{
 		Models:        s.models.len(),
 		Graphs:        s.graphs.len(),
@@ -1181,7 +1147,7 @@ func (s *Service) Stats() Stats {
 		PoolInFlight:  s.fitPool.InFlight(),
 		PoolDepth:     s.fitPool.Waiting(),
 		Requests:      s.requests.Load(),
-		Coalesced:     s.coalesce.coalesced.Load(),
+		Coalesced:     joined + graphsJoined,
 		FitQueueCap:   s.fitGate.capacity(),
 		FitQueueDepth: s.fitGate.held(),
 		Shed:          s.fitGate.shed.Load() + s.reqGate.shed.Load(),

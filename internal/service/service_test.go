@@ -211,11 +211,24 @@ func TestConcurrentIdenticalRequestsFitOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := svc.Stats().Fits; got != 1 {
-		t.Errorf("fits = %d, want 1 (single-flight must collapse concurrent misses)", got)
+	st := svc.Stats()
+	if st.Fits != 1 {
+		t.Errorf("fits = %d, want 1 (single-flight must collapse concurrent misses)", st.Fits)
 	}
-	if got := svc.Stats().Models; got != 1 {
-		t.Errorf("models = %d, want 1", got)
+	if st.Models != 1 {
+		t.Errorf("models = %d, want 1", st.Models)
+	}
+	// One request started the fill; every other one either joined it in
+	// flight or arrived after it finished and hit. Twelve requests racing
+	// one cold fit always leave some waiting on it.
+	hits, misses, _, joined := svc.models.counters()
+	if misses != 1 || hits+joined != n-1 {
+		t.Errorf("model cache: %d misses, %d hits, %d joined; want 1 miss and %d hits+joined",
+			misses, hits, joined, n-1)
+	}
+	if joined == 0 || st.Coalesced < joined {
+		t.Errorf("coalesced = %d with %d model-fill waiters; want at least one waiter, all counted",
+			st.Coalesced, joined)
 	}
 }
 
