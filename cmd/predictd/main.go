@@ -6,13 +6,14 @@
 // Usage:
 //
 //	predictd -addr :8080
-//	predictd -addr :8080 -history models.jsonl      # warm + persist cache
+//	predictd -addr :8080 -history models.jsonl      # warm at start, checkpoint every fit, compact at shutdown
+//	predictd -history models.jsonl -checkpoint-growth-factor 8  # compact the checkpoint log less often
 //	predictd -dataset-dir ./datasets                # serve real graphs by name
 //	predictd -dataset-dir ./datasets -mmap-datasets # zero-copy snapshots (datasets larger than RAM)
 //	predictd -max-models 128 -timeout 120s -workers 16
 //	predictd -fit-parallelism 8 -fit-timeout 2m     # cold-path budget
 //	predictd -fit-queue-depth 8 -max-inflight 256   # admission control (shed past the bound)
-//	predictd -retry-after 2s                        # shed guidance
+//	predictd -retry-after 2s                        # shed guidance (whole seconds, rounded up)
 //	predictd -fit-breaker-threshold 5 -fit-breaker-cooldown 5s  # per-model circuit breaker
 //	predictd -retry-attempts 3 -retry-base-delay 50ms -retry-max-delay 1s  # transient dataset I/O
 //	predictd -pprof-addr 127.0.0.1:6060             # live profiling (off by default)
@@ -73,7 +74,6 @@ func main() {
 		retryBase = flag.Duration("retry-base-delay", 0, "first backoff between dataset I/O retries, jittered exponential after (0 = default 50ms)")
 		retryMax  = flag.Duration("retry-max-delay", 0, "backoff ceiling between dataset I/O retries (0 = default 1s)")
 		drainTO   = flag.Duration("drain-timeout", 10*time.Second, "SIGTERM drain deadline: how long in-flight requests get before their fits are canceled")
-		ckptOff   = flag.Bool("no-checkpoints", false, "disable continuous model checkpointing; models then persist only at clean shutdown")
 		ckptGrow  = flag.Int("checkpoint-growth-factor", 0, "compact the checkpoint log when it grows this many times its post-compaction size (0 = default 4, <0 = never compact)")
 		blendK    = flag.Int("blend-threshold", 0, "observed runtimes per model key before predictions switch to the observation-weighted refit (0 = default 5)")
 	)
@@ -111,10 +111,9 @@ func main() {
 		RetryBaseDelay:      *retryBase,
 		RetryMaxDelay:       *retryMax,
 		// The readiness probe (GET /readyz) watches the history file's
-		// appendability when one is configured; with checkpointing on
-		// (default) every fitted model is durably appended here at fit time.
+		// appendability when one is configured; every fitted model is
+		// durably appended here at fit time.
 		HistoryPath:            *histFile,
-		DisableCheckpoints:     *ckptOff,
 		CheckpointGrowthFactor: *ckptGrow,
 		BlendThreshold:         *blendK,
 	})

@@ -115,7 +115,9 @@ func TestWriteServiceErrorStatusMapping(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			rec := httptest.NewRecorder()
-			writeServiceError(rec, tc.err)
+			c := codecPool.Get().(*codec)
+			c.writeServiceError(rec, tc.err)
+			codecPool.Put(c)
 			if rec.Code != tc.wantStatus {
 				t.Fatalf("status = %d, want %d", rec.Code, tc.wantStatus)
 			}

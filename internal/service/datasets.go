@@ -19,7 +19,6 @@ package service
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -236,15 +235,7 @@ func (s *Service) LoadDataset(ctx context.Context, name string) (*DatasetInfo, b
 	}
 	g, cached, err := s.loadDataset(ctx, name, path, datasetKey(name, fi))
 	if err != nil {
-		if ctx.Err() != nil {
-			return nil, false, &Error{Status: 504, Msg: fmt.Sprintf(
-				"service: request timed out loading dataset %s", name)}
-		}
-		var se *Error
-		if errors.As(err, &se) {
-			return nil, false, se
-		}
-		return nil, false, &Error{Status: 500, Msg: err.Error()}
+		return nil, false, requestError(ctx, err, 500, "loading dataset "+name)
 	}
 	// The response describes the version that was resolved and loaded —
 	// no re-resolve, so a file replaced mid-request cannot mix two

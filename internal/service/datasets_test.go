@@ -311,8 +311,8 @@ func TestRegistryDatasetModelKeyNamespaced(t *testing.T) {
 	if !ok {
 		t.Fatal("Wiki.snap did not resolve")
 	}
-	regKey := withRegistry.modelKey(req, datasetKey("Wiki", fi))
-	genKey := without.modelKey(req, "")
+	regKey := string(withRegistry.appendModelKey(nil, req, datasetKey("Wiki", fi)))
+	genKey := string(without.appendModelKey(nil, req, ""))
 	if regKey == genKey {
 		t.Fatalf("registry and generator models share key %q", regKey)
 	}

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -38,29 +39,80 @@ type BatchResponse struct {
 }
 
 // Handler returns the service's HTTP API (docs/API.md is the full
-// reference):
-//
-//	POST /predict               PredictRequest  -> PredictResponse
-//	POST /predict/batch         BatchRequest    -> BatchResponse
-//	POST /observe               ObserveRequest  -> ObserveResponse (feedback)
-//	GET  /models                -> {"models": [ModelInfo...]}
-//	GET  /datasets              -> {"datasets": [DatasetInfo...]} (registry)
-//	POST /datasets/{name}/load  -> load a registry dataset into the cache
-//	GET  /stats                 -> Stats (pool depth, in-flight fits, hit ratio)
-//	GET  /healthz               -> liveness: always 200, honest status field
-//	GET  /readyz                -> readiness: 503 while degraded
+// reference). Every endpoint is one row of the route table; serve gives
+// each the same front door.
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/predict", s.handlePredict)
-	mux.HandleFunc("/predict/batch", s.handleBatch)
-	mux.HandleFunc("/observe", s.handleObserve)
-	mux.HandleFunc("/models", s.handleModels)
-	mux.HandleFunc("/datasets", s.handleDatasets)
-	mux.HandleFunc("/datasets/", s.handleDatasetLoad)
-	mux.HandleFunc("/stats", s.handleStats)
-	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/readyz", s.handleReadyz)
+	for _, rt := range []route{
+		{http.MethodPost, "/predict", true, s.handlePredict},       // PredictRequest -> PredictResponse
+		{http.MethodPost, "/predict/batch", true, s.handleBatch},   // BatchRequest -> BatchResponse
+		{http.MethodPost, "/observe", true, s.handleObserve},       // ObserveRequest -> ObserveResponse (feedback)
+		{http.MethodPost, "/datasets/", true, s.handleDatasetLoad}, // /datasets/{name}/load: load a registry dataset
+		{http.MethodGet, "/models", false, s.handleModels},         // {"models": [ModelInfo...]}
+		{http.MethodGet, "/datasets", false, s.handleDatasets},     // {"datasets": [DatasetInfo...]} (registry)
+		{http.MethodGet, "/stats", false, s.handleStats},           // Stats (pool depth, in-flight fits, hit ratio)
+		{http.MethodGet, "/healthz", false, s.handleHealthz},       // liveness: always 200, honest status field
+		{http.MethodGet, "/readyz", false, s.handleReadyz},         // readiness: 503 while degraded
+	} {
+		mux.Handle(rt.path, s.serve(rt))
+	}
 	return mux
+}
+
+// route is one endpoint: the method it answers, its ServeMux pattern,
+// whether it is prediction work, and the handler behind the front door.
+type route struct {
+	method string
+	path   string
+	work   bool
+	handle func(c *codec, w http.ResponseWriter, r *http.Request)
+}
+
+// serve is the front door every route shares. It answers a wrong method
+// with 405, hands the handler a pooled codec to read and write through,
+// and for work routes adds admission: the drain reject, the in-flight
+// gate and the activeWork count a supervised drain waits on.
+func (s *Service) serve(rt route) http.HandlerFunc {
+	wrongMethod := rt.method + " only"
+	return func(w http.ResponseWriter, r *http.Request) {
+		c := codecPool.Get().(*codec)
+		defer codecPool.Put(c)
+		if r.Method != rt.method {
+			c.writeError(w, http.StatusMethodNotAllowed, wrongMethod)
+			return
+		}
+		if rt.work {
+			// A draining service refuses new work: 503 so the caller retries
+			// elsewhere, Connection: close so keep-alive clients and load
+			// balancers stop routing to this process instead of queueing
+			// behind a closing listener. The observability routes keep
+			// answering — the drain supervisor itself polls them.
+			if s.draining.Load() {
+				s.drainRejected.Add(1)
+				w.Header().Set("Connection", "close")
+				c.writeServiceError(w, &Error{
+					Status:            http.StatusServiceUnavailable,
+					RetryAfterSeconds: ceilSeconds(s.cfg.ShedRetryAfter),
+					Msg:               "service: draining: shutting down, retry against another replica",
+				})
+				return
+			}
+			// MaxInFlight sheds at the front door, before any body is read.
+			if !s.reqGate.tryAcquire() {
+				c.writeServiceError(w, &Error{
+					Status:            http.StatusTooManyRequests,
+					RetryAfterSeconds: ceilSeconds(s.cfg.ShedRetryAfter),
+					Msg: fmt.Sprintf("service: %d requests already in flight; retry later",
+						s.cfg.MaxInFlight),
+				})
+				return
+			}
+			defer s.reqGate.release()
+			s.activeWork.Add(1)
+			defer s.activeWork.Add(-1)
+		}
+		rt.handle(c, w, r)
+	}
 }
 
 // requestContext derives the per-request context from the request's
@@ -73,54 +125,7 @@ func (s *Service) requestContext(r *http.Request, timeoutMillis int64) (context.
 	return context.WithTimeout(r.Context(), d)
 }
 
-// shedError is the 429 the in-flight gate answers when MaxInFlight is
-// reached: admission control at the front door, before any body is read.
-func (s *Service) shedError() *Error {
-	return &Error{
-		Status:            http.StatusTooManyRequests,
-		RetryAfterSeconds: s.retryAfterSeconds(),
-		Msg: fmt.Sprintf("service: %d requests already in flight; retry later",
-			s.cfg.MaxInFlight),
-	}
-}
-
-// rejectIfDraining refuses new prediction work while the service drains:
-// 503 so the caller retries elsewhere, Connection: close so keep-alive
-// clients and load balancers stop routing to this process instead of
-// queueing more requests behind a closing listener. Observability
-// endpoints (/stats, /models, /healthz, /readyz) keep answering — the
-// drain supervisor itself polls them.
-func (s *Service) rejectIfDraining(w http.ResponseWriter) bool {
-	if !s.draining.Load() {
-		return false
-	}
-	s.drainRejected.Add(1)
-	w.Header().Set("Connection", "close")
-	writeServiceError(w, &Error{
-		Status:            http.StatusServiceUnavailable,
-		RetryAfterSeconds: s.retryAfterSeconds(),
-		Msg:               "service: draining: shutting down, retry against another replica",
-	})
-	return true
-}
-
-func (s *Service) handlePredict(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	if s.rejectIfDraining(w) {
-		return
-	}
-	if !s.reqGate.tryAcquire() {
-		writeServiceError(w, s.shedError())
-		return
-	}
-	defer s.reqGate.release()
-	s.activeWork.Add(1)
-	defer s.activeWork.Add(-1)
-	c := codecPool.Get().(*codec)
-	defer codecPool.Put(c)
+func (s *Service) handlePredict(c *codec, w http.ResponseWriter, r *http.Request) {
 	var req PredictRequest
 	if err := c.decodeJSON(w, r, &req); err != nil {
 		c.writeError(w, http.StatusBadRequest, err.Error())
@@ -140,23 +145,7 @@ func (s *Service) handlePredict(w http.ResponseWriter, r *http.Request) {
 // handleObserve serves POST /observe: record one observed actual runtime
 // against a cached model key (the closed-loop feedback path). Unknown
 // keys are 404s — see Service.Observe.
-func (s *Service) handleObserve(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	if s.rejectIfDraining(w) {
-		return
-	}
-	if !s.reqGate.tryAcquire() {
-		writeServiceError(w, s.shedError())
-		return
-	}
-	defer s.reqGate.release()
-	s.activeWork.Add(1)
-	defer s.activeWork.Add(-1)
-	c := codecPool.Get().(*codec)
-	defer codecPool.Put(c)
+func (s *Service) handleObserve(c *codec, w http.ResponseWriter, r *http.Request) {
 	var req ObserveRequest
 	if err := c.decodeJSON(w, r, &req); err != nil {
 		c.writeError(w, http.StatusBadRequest, err.Error())
@@ -172,23 +161,7 @@ func (s *Service) handleObserve(w http.ResponseWriter, r *http.Request) {
 	c.writeJSON(w, http.StatusOK, resp)
 }
 
-func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	if s.rejectIfDraining(w) {
-		return
-	}
-	if !s.reqGate.tryAcquire() {
-		writeServiceError(w, s.shedError())
-		return
-	}
-	defer s.reqGate.release()
-	s.activeWork.Add(1)
-	defer s.activeWork.Add(-1)
-	c := codecPool.Get().(*codec)
-	defer codecPool.Put(c)
+func (s *Service) handleBatch(c *codec, w http.ResponseWriter, r *http.Request) {
 	var batch BatchRequest
 	if err := c.decodeJSON(w, r, &batch); err != nil {
 		c.writeError(w, http.StatusBadRequest, err.Error())
@@ -211,7 +184,7 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 	resp := BatchResponse{Responses: make([]BatchItem, len(batch.Requests))}
 	// Bounded fan-out: a batch of distinct cold requests must not launch
 	// MaxBatch sample pipelines at once.
-	sem := make(chan struct{}, s.cfg.BatchParallelism)
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	var wg sync.WaitGroup
 	for i, req := range batch.Requests {
 		wg.Add(1)
@@ -244,34 +217,26 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 	c.writeJSON(w, http.StatusOK, resp)
 }
 
-func (s *Service) handleModels(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
+func (s *Service) handleModels(c *codec, w http.ResponseWriter, r *http.Request) {
 	models := s.Models()
-	writeJSON(w, http.StatusOK, map[string]any{
+	c.writeJSON(w, http.StatusOK, map[string]any{
 		"models": models,
 		"count":  len(models),
 	})
 }
 
 // handleDatasets lists the dataset registry (GET /datasets).
-func (s *Service) handleDatasets(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
+func (s *Service) handleDatasets(c *codec, w http.ResponseWriter, r *http.Request) {
 	if s.cfg.DatasetDir == "" {
-		writeError(w, http.StatusNotFound, "service: no dataset directory configured")
+		c.writeError(w, http.StatusNotFound, "service: no dataset directory configured")
 		return
 	}
 	datasets, err := s.Datasets()
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, fmt.Sprintf("service: scanning dataset directory: %v", err))
+		c.writeError(w, http.StatusInternalServerError, fmt.Sprintf("service: scanning dataset directory: %v", err))
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	c.writeJSON(w, http.StatusOK, map[string]any{
 		"dir":      s.cfg.DatasetDir,
 		"datasets": datasets,
 		"count":    len(datasets),
@@ -281,20 +246,11 @@ func (s *Service) handleDatasets(w http.ResponseWriter, r *http.Request) {
 // handleDatasetLoad serves POST /datasets/{name}/load: resolve the named
 // registry dataset, pull it into the graph cache (shared single-flight
 // with any concurrent /predict on the same dataset) and report its shape.
-func (s *Service) handleDatasetLoad(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	if s.rejectIfDraining(w) {
-		return
-	}
-	s.activeWork.Add(1)
-	defer s.activeWork.Add(-1)
+func (s *Service) handleDatasetLoad(c *codec, w http.ResponseWriter, r *http.Request) {
 	rest := strings.TrimPrefix(r.URL.Path, "/datasets/")
 	name, ok := strings.CutSuffix(rest, "/load")
 	if !ok || name == "" || strings.Contains(name, "/") {
-		writeError(w, http.StatusNotFound, "service: want POST /datasets/{name}/load")
+		c.writeError(w, http.StatusNotFound, "service: want POST /datasets/{name}/load")
 		return
 	}
 	start := time.Now()
@@ -302,10 +258,10 @@ func (s *Service) handleDatasetLoad(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	info, cached, err := s.LoadDataset(ctx, name)
 	if err != nil {
-		writeServiceError(w, err)
+		c.writeServiceError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	c.writeJSON(w, http.StatusOK, map[string]any{
 		"dataset":        info,
 		"already_loaded": cached,
 		"elapsed_ms":     float64(time.Since(start)) / float64(time.Millisecond),
@@ -315,13 +271,9 @@ func (s *Service) handleDatasetLoad(w http.ResponseWriter, r *http.Request) {
 // handleStats exposes the service's operational counters: cache hit
 // ratio, in-flight fits, and the shared fit pool's depth — the numbers
 // that tell an operator whether FitParallelism is the bottleneck.
-func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
+func (s *Service) handleStats(c *codec, w http.ResponseWriter, r *http.Request) {
 	st := s.Stats()
-	writeJSON(w, http.StatusOK, map[string]any{
+	c.writeJSON(w, http.StatusOK, map[string]any{
 		"uptime_seconds": s.Uptime().Seconds(),
 		"stats":          st,
 	})
@@ -333,18 +285,14 @@ func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
 // honest — "ok" or "degraded" per the readiness probes — so operators
 // and dashboards see trouble here even though only /readyz changes its
 // HTTP status. The pre-existing fields are kept for compatibility.
-func (s *Service) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
+func (s *Service) handleHealthz(c *codec, w http.ResponseWriter, r *http.Request) {
 	st := s.Stats()
 	rd := s.Readiness()
 	status := "ok"
 	if !rd.Ready {
 		status = rd.Status
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	c.writeJSON(w, http.StatusOK, map[string]any{
 		"status":         status,
 		"ready":          rd.Ready,
 		"reasons":        rd.Reasons,
@@ -363,17 +311,13 @@ func (s *Service) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // otherwise. Load balancers drain traffic on 503; the process keeps
 // serving warm hits meanwhile, and the endpoint flips back by itself when
 // the dependency is restored (probes run live, nothing is cached).
-func (s *Service) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
+func (s *Service) handleReadyz(c *codec, w http.ResponseWriter, r *http.Request) {
 	rd := s.Readiness()
 	status := http.StatusOK
 	if !rd.Ready {
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, rd)
+	c.writeJSON(w, status, rd)
 }
 
 // maxBodyBytes bounds request bodies so one oversized POST cannot exhaust
@@ -470,38 +414,17 @@ func (c *codec) writeError(w http.ResponseWriter, status int, msg string) {
 	c.writeJSON(w, status, map[string]string{"error": msg})
 }
 
-// writeJSON and writeError are the non-pooled forms for handlers that
-// have no codec in hand (one-off endpoints; tests).
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	c := codecPool.Get().(*codec)
-	c.writeJSON(w, status, v)
-	codecPool.Put(c)
-}
-
-func writeError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, map[string]string{"error": msg})
-}
-
 // writeServiceError maps service errors to HTTP statuses, attaching the
-// Retry-After hint shed (429/503) responses carry.
+// Retry-After hint shed (429/503) responses carry. An error that is no
+// *Error answers 504 when it is a deadline and 500 otherwise.
 func (c *codec) writeServiceError(w http.ResponseWriter, err error) {
-	var se *Error
-	if errors.As(err, &se) {
-		if se.RetryAfterSeconds > 0 {
-			w.Header().Set("Retry-After", strconv.Itoa(se.RetryAfterSeconds))
-		}
-		c.writeError(w, se.Status, se.Msg)
-		return
-	}
+	status := http.StatusInternalServerError
 	if errors.Is(err, context.DeadlineExceeded) {
-		c.writeError(w, http.StatusGatewayTimeout, err.Error())
-		return
+		status = http.StatusGatewayTimeout
 	}
-	c.writeError(w, http.StatusInternalServerError, err.Error())
-}
-
-func writeServiceError(w http.ResponseWriter, err error) {
-	c := codecPool.Get().(*codec)
-	c.writeServiceError(w, err)
-	codecPool.Put(c)
+	se := asError(err, status)
+	if se.RetryAfterSeconds > 0 {
+		w.Header().Set("Retry-After", strconv.Itoa(se.RetryAfterSeconds))
+	}
+	c.writeError(w, se.Status, se.Msg)
 }

@@ -69,6 +69,11 @@ import (
 // used when a request does not override them.
 var DefaultTrainingRatios = []float64{0.05, 0.10, 0.15, 0.20}
 
+// maxTrainingRatios bounds a request's training_ratios: each entry is one
+// sample pipeline on the cold path, so an unbounded list would let one
+// request buy unbounded fit work. The paper and every caller use 4.
+const maxTrainingRatios = 16
+
 // Config parameterizes a Service.
 type Config struct {
 	// MaxModels bounds the fitted-model LRU cache; zero selects 64.
@@ -81,10 +86,6 @@ type Config struct {
 	// MaxBatch bounds the number of requests in one batch call; zero
 	// selects 256.
 	MaxBatch int
-	// BatchParallelism bounds how many batch items execute at once, so
-	// one batch of distinct cold requests cannot launch MaxBatch sample
-	// pipelines simultaneously; zero selects GOMAXPROCS.
-	BatchParallelism int
 	// FitParallelism budgets the shared fit pool: across all concurrent
 	// cold-path fits, at most this many sample+profile pipelines execute
 	// at once. Concurrent cache misses for different keys previously
@@ -102,12 +103,13 @@ type Config struct {
 	// hits. Warm hits never consult the gate. Zero selects
 	// 4*FitParallelism; negative disables shedding (unbounded).
 	FitQueueDepth int
-	// MaxInFlight bounds concurrently served prediction requests
-	// (/predict and /predict/batch each count one); excess requests are
-	// shed with 429 + Retry-After. Zero or negative means unlimited.
+	// MaxInFlight bounds concurrently served work requests (/predict,
+	// /predict/batch, /observe and /datasets/{name}/load each count one);
+	// excess requests are shed with 429 + Retry-After. Zero or negative
+	// means unlimited.
 	MaxInFlight int
 	// ShedRetryAfter is the Retry-After hint attached to shed (429/503)
-	// responses; zero selects 1s.
+	// responses, rounded up to whole seconds; zero selects 1s.
 	ShedRetryAfter time.Duration
 	// Cluster is the sample-run execution environment. The zero value
 	// selects 8 workers priced by cluster.DefaultOracle() — the repo's
@@ -137,17 +139,11 @@ type Config struct {
 	// HistoryPath, when set, names the history file the service persists
 	// models to; the readiness probe (Readiness) checks it stays
 	// appendable so operators learn about a read-only or full volume
-	// before a save silently starts failing. With checkpointing enabled
-	// (the default), every newly fitted model is appended here at fit
-	// time via the crash-safe durable append — a SIGKILL at any instant
-	// loses at most the fit in flight, never a fitted model.
+	// before a save silently starts failing. Every newly fitted model is
+	// appended here at fit time via the crash-safe durable append — a
+	// SIGKILL at any instant loses at most the fit in flight, never a
+	// fitted model.
 	HistoryPath string
-	// DisableCheckpoints turns off continuous model checkpointing: models
-	// then persist only through explicit SaveHistory calls (the clean-
-	// shutdown path), and a crash loses every fit since startup. The
-	// zero value — checkpointing on whenever HistoryPath is set — is the
-	// crash-consistent default.
-	DisableCheckpoints bool
 	// CheckpointGrowthFactor bounds checkpoint-log growth: when the log
 	// holds at least this many times the records it held after the last
 	// compaction (or warm start), a compaction pass rewrites it keeping
@@ -183,9 +179,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 256
-	}
-	if c.BatchParallelism <= 0 {
-		c.BatchParallelism = runtime.GOMAXPROCS(0)
 	}
 	if c.FitParallelism <= 0 {
 		c.FitParallelism = runtime.GOMAXPROCS(0)
@@ -338,7 +331,7 @@ type PredictRequest struct {
 	// Algorithm names the algorithm: PR, SC, TOPK, CC, NH (or long names).
 	Algorithm string `json:"algorithm"`
 	// Epsilon is the PageRank tolerance (tau = eps/N) for PR and TOPK;
-	// zero selects 0.001.
+	// zero selects 0.001, negative is rejected.
 	Epsilon float64 `json:"epsilon,omitempty"`
 	// Ratio is the main sampling ratio; zero selects 0.10.
 	Ratio float64 `json:"ratio,omitempty"`
@@ -346,7 +339,8 @@ type PredictRequest struct {
 	Method string `json:"method,omitempty"`
 	// SampleSeed seeds sampling; zero selects 1.
 	SampleSeed uint64 `json:"sample_seed,omitempty"`
-	// TrainingRatios override the paper's {0.05, 0.10, 0.15, 0.20}.
+	// TrainingRatios override the paper's {0.05, 0.10, 0.15, 0.20}; at
+	// most 16.
 	TrainingRatios []float64 `json:"training_ratios,omitempty"`
 	// Workers is the what-if worker count of the target run; zero keeps
 	// the sample cluster's size (the paper's matched-environment
@@ -404,6 +398,9 @@ func (r PredictRequest) Validate() error {
 	if r.Scale < 0 {
 		return fmt.Errorf("service: negative scale %v", r.Scale)
 	}
+	if r.Epsilon < 0 || math.IsNaN(r.Epsilon) || math.IsInf(r.Epsilon, 0) {
+		return fmt.Errorf("service: epsilon %v must be a positive finite number", r.Epsilon)
+	}
 	if r.Ratio < 0 || r.Ratio > 1 {
 		return fmt.Errorf("service: sampling ratio %v out of (0, 1]", r.Ratio)
 	}
@@ -415,6 +412,10 @@ func (r PredictRequest) Validate() error {
 		sampling.MetropolisHastings, sampling.UniformVertex:
 	default:
 		return fmt.Errorf("service: unknown sampling method %q", r.Method)
+	}
+	if len(r.TrainingRatios) > maxTrainingRatios {
+		return fmt.Errorf("service: %d training ratios exceed the limit of %d",
+			len(r.TrainingRatios), maxTrainingRatios)
 	}
 	for _, tr := range r.TrainingRatios {
 		if tr <= 0 || tr > 1 {
@@ -536,11 +537,6 @@ func (s *Service) appendModelKey(b []byte, r PredictRequest, registryKey string)
 	return b
 }
 
-// modelKey is appendModelKey as a standalone string.
-func (s *Service) modelKey(r PredictRequest, registryKey string) string {
-	return string(s.appendModelKey(nil, r, registryKey))
-}
-
 // appendGraphKey appends a generated graph's cache key,
 // "prefix|scale|seed", to b — no fmt formatting, so the warm path pays no
 // boxing or scratch allocation for it.
@@ -656,40 +652,16 @@ func (s *Service) predictInto(ctx context.Context, req PredictRequest, out *Pred
 	keys := string(kb)
 	key, graphKey := keys[:modelKeyLen], keys[modelKeyLen:]
 
-	if err := s.computePrediction(ctx, req, path, registryKey, graphKey, key, out); err != nil {
-		if ctx.Err() != nil {
-			return &Error{Status: 504, Msg: fmt.Sprintf(
-				"service: request timed out predicting %s on dataset %s", req.Algorithm, req.Dataset)}
-		}
-		return err
+	// The caches' single-flight is the only sharing between requests:
+	// concurrent misses on one graph or model key share one fill, which
+	// runs detached from ctx, so a request whose ctx expires abandons only
+	// its own response while the fill still warms the cache.
+	fail := func(err error, status int) error {
+		return requestError(ctx, err, status, "predicting "+req.Algorithm+" on dataset "+req.Dataset)
 	}
-	if req.DeadlineSeconds > 0 {
-		d := core.Distribution{
-			MeanSeconds:   out.SuperstepSeconds,
-			StdDevSeconds: out.StdDevSeconds,
-		}
-		p := d.ProbabilityWithin(req.DeadlineSeconds)
-		out.ProbabilityOfDeadline = &p
-	}
-	out.ElapsedMillis = float64(time.Since(start)) / float64(time.Millisecond)
-	return nil
-}
-
-// computePrediction is everything past validation and key construction:
-// graph lookup, model lookup (fitting on a miss), extrapolation and
-// response assembly into out. The caches' single-flight is the only
-// sharing between requests: concurrent misses on one graph or model key
-// share one fill, which runs detached from ctx, so a request whose ctx
-// expires abandons only its own response while the fill still warms the
-// cache. Every error it returns is an *Error.
-func (s *Service) computePrediction(ctx context.Context, req PredictRequest, path, registryKey, graphKey, key string, out *PredictResponse) error {
 	g, err := s.graphFor(ctx, req, path, registryKey, graphKey)
 	if err != nil {
-		var se *Error
-		if errors.As(err, &se) {
-			return se
-		}
-		return &Error{Status: 400, Msg: err.Error()}
+		return fail(err, 400)
 	}
 
 	fitted, hit, err := s.models.get(ctx, key, func() (*core.Fitted, error) {
@@ -705,7 +677,7 @@ func (s *Service) computePrediction(ctx context.Context, req PredictRequest, pat
 			// A gate shed says nothing about whether this key's fits still
 			// fail — release any half-open probe admission unjudged.
 			s.breakers.skip(key)
-			return nil, &Error{Status: 503, RetryAfterSeconds: s.retryAfterSeconds(), Msg: fmt.Sprintf(
+			return nil, &Error{Status: 503, RetryAfterSeconds: ceilSeconds(s.cfg.ShedRetryAfter), Msg: fmt.Sprintf(
 				"service: fit queue full (%d cold fits outstanding); retry later", s.cfg.FitQueueDepth)}
 		}
 		defer s.fitGate.release()
@@ -719,11 +691,7 @@ func (s *Service) computePrediction(ctx context.Context, req PredictRequest, pat
 		return fitted, nil
 	})
 	if err != nil {
-		var se *Error
-		if errors.As(err, &se) {
-			return se
-		}
-		return &Error{Status: 500, Msg: err.Error()}
+		return fail(err, 500)
 	}
 
 	// Closed-loop blending: the key's observed actual runtimes (if any)
@@ -732,7 +700,7 @@ func (s *Service) computePrediction(ctx context.Context, req PredictRequest, pat
 	// to Extrapolate.
 	pred, err := fitted.ExtrapolateBlended(g, req.Workers, s.observationsFor(key), s.cfg.BlendThreshold)
 	if err != nil {
-		return &Error{Status: 500, Msg: err.Error()}
+		return fail(err, 500)
 	}
 	switch pred.Runtime.Regime {
 	case core.RegimeInterpolation:
@@ -765,23 +733,23 @@ func (s *Service) computePrediction(ctx context.Context, req PredictRequest, pat
 	for _, f := range pred.Model.SelectedFeatures() {
 		out.ModelFeatures = append(out.ModelFeatures, string(f))
 	}
+	if req.DeadlineSeconds > 0 {
+		d := core.Distribution{
+			MeanSeconds:   out.SuperstepSeconds,
+			StdDevSeconds: out.StdDevSeconds,
+		}
+		p := d.ProbabilityWithin(req.DeadlineSeconds)
+		out.ProbabilityOfDeadline = &p
+	}
+	out.ElapsedMillis = float64(time.Since(start)) / float64(time.Millisecond)
 	return nil
 }
 
-// ceilSeconds converts a wait into a whole-second Retry-After hint, at
-// least 1 (zero would tell clients to hammer immediately).
+// ceilSeconds converts a wait into a whole-second Retry-After hint,
+// rounded up so a client never comes back sooner than told, and at least
+// 1 (zero would tell clients to hammer immediately).
 func ceilSeconds(d time.Duration) int {
 	sec := int((d + time.Second - 1) / time.Second)
-	if sec < 1 {
-		sec = 1
-	}
-	return sec
-}
-
-// retryAfterSeconds is the whole-second Retry-After hint on shed
-// responses (at least 1: zero would tell clients to hammer immediately).
-func (s *Service) retryAfterSeconds() int {
-	sec := int(s.cfg.ShedRetryAfter / time.Second)
 	if sec < 1 {
 		sec = 1
 	}
@@ -852,9 +820,6 @@ func (s *Service) fit(req PredictRequest, g *graph.Graph) (*core.Fitted, error) 
 // key. Failures are counted, not fatal: a full or read-only volume
 // degrades persistence, not serving (the readiness probe surfaces it).
 func (s *Service) checkpoint(key string, fitted *core.Fitted) {
-	if s.cfg.DisableCheckpoints {
-		return
-	}
 	if s.appendRecord(fitted.Record(key, key)) {
 		s.checkpoints.Add(1)
 	}
@@ -884,13 +849,17 @@ func (s *Service) appendRecord(rec history.Record) bool {
 			return true // the append itself succeeded
 		}
 		s.compactions.Add(1)
-		s.ckptLog = kept
-		if kept < 1 {
-			kept = 1
-		}
-		s.ckptBase = kept
+		s.resetCompactionBaseline(kept)
 	}
 	return true
+}
+
+// resetCompactionBaseline makes a log of n records the growth-factor
+// trigger's new baseline (at least 1, so an empty log still has a
+// growth bound). The caller holds histMu.
+func (s *Service) resetCompactionBaseline(n int) {
+	s.ckptLog = n
+	s.ckptBase = max(n, 1)
 }
 
 // ObserveRequest reports one observed actual runtime for a previously
@@ -941,8 +910,7 @@ func (s *Service) Observe(ctx context.Context, req ObserveRequest) (*ObserveResp
 			"service: unknown model key %q: observations attach to fitted models (predict first)", req.ModelKey)}
 	}
 	n := s.recordObservation(req.ModelKey, req.ActualSeconds)
-	persisted := !s.cfg.DisableCheckpoints &&
-		s.appendRecord(history.NewObservation(req.ModelKey, req.ActualSeconds, req.Workers))
+	persisted := s.appendRecord(history.NewObservation(req.ModelKey, req.ActualSeconds, req.Workers))
 	regime := core.RegimeExtrapolation
 	if n >= s.cfg.BlendThreshold {
 		regime = core.RegimeInterpolation
@@ -1017,8 +985,7 @@ func (s *Service) RedirectHistory(path string) {
 	s.histMu.Lock()
 	defer s.histMu.Unlock()
 	s.histPath = path
-	s.ckptLog = 0
-	s.ckptBase = 1
+	s.resetCompactionBaseline(0)
 }
 
 // ModelInfo describes one cached model for the /models inventory.
@@ -1251,11 +1218,7 @@ func (s *Service) SaveHistory(path string) (int, error) {
 	}
 	if path == s.histPath {
 		// The rewrite is the new compaction baseline.
-		s.ckptLog = len(records)
-		s.ckptBase = len(records)
-		if s.ckptBase < 1 {
-			s.ckptBase = 1
-		}
+		s.resetCompactionBaseline(len(records))
 	}
 	return len(records), nil
 }
@@ -1303,11 +1266,7 @@ func (s *Service) WarmFromHistory(path string) (warmed, skipped int, err error) 
 		// The warm-started log is the compaction baseline: growth is
 		// measured against what survived the restart, so a long-lived key
 		// set does not trigger a compaction storm on the first few fits.
-		s.ckptLog = len(records)
-		s.ckptBase = len(records)
-		if s.ckptBase < 1 {
-			s.ckptBase = 1
-		}
+		s.resetCompactionBaseline(len(records))
 	}
 	s.histMu.Unlock()
 	return warmed, skipped, nil
@@ -1323,3 +1282,24 @@ type Error struct {
 
 // Error implements the error interface.
 func (e *Error) Error() string { return e.Msg }
+
+// requestError maps a failed step of a request to the *Error it answers
+// with: 504 once ctx has expired (whatever the step returned, the caller
+// stopped waiting; what names the work that timed out), otherwise
+// asError(err, status).
+func requestError(ctx context.Context, err error, status int, what string) *Error {
+	if ctx.Err() != nil {
+		return &Error{Status: 504, Msg: "service: request timed out " + what}
+	}
+	return asError(err, status)
+}
+
+// asError returns the *Error err is or wraps, or err's message under
+// status.
+func asError(err error, status int) *Error {
+	var se *Error
+	if errors.As(err, &se) {
+		return se
+	}
+	return &Error{Status: status, Msg: err.Error()}
+}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -116,6 +117,15 @@ func TestPredictMalformedAndInvalidInput(t *testing.T) {
 		{"bad ratio", func() any { r := testRequest(); r.Ratio = 1.5; return r }(), http.StatusBadRequest},
 		{"bad method", func() any { r := testRequest(); r.Method = "ZZZ"; return r }(), http.StatusBadRequest},
 		{"bad training ratio", func() any { r := testRequest(); r.TrainingRatios = []float64{-0.1}; return r }(), http.StatusBadRequest},
+		{"negative epsilon", func() any { r := testRequest(); r.Epsilon = -1; return r }(), http.StatusBadRequest},
+		{"too many training ratios", func() any {
+			r := testRequest()
+			r.TrainingRatios = make([]float64, maxTrainingRatios+1)
+			for i := range r.TrainingRatios {
+				r.TrainingRatios[i] = 0.1
+			}
+			return r
+		}(), http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -127,6 +137,19 @@ func TestPredictMalformedAndInvalidInput(t *testing.T) {
 				t.Error("error response missing \"error\" field")
 			}
 		})
+	}
+}
+
+// TestValidateRejectsNonFiniteEpsilon covers the epsilon values JSON
+// cannot carry but a library caller can: a non-finite tolerance never
+// converges, so it must be a 400, not a failed fit.
+func TestValidateRejectsNonFiniteEpsilon(t *testing.T) {
+	for _, eps := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		r := testRequest()
+		r.Epsilon = eps
+		if err := r.Validate(); err == nil {
+			t.Errorf("epsilon %v validated", eps)
+		}
 	}
 }
 

@@ -93,6 +93,8 @@ func TestWireContract(t *testing.T) {
 			status: 429, retryAfter: "1", want: shedBody},
 		{name: "observe shed", server: "plain", hold: true, method: "POST", path: "/observe", body: `{}`,
 			status: 429, retryAfter: "1", want: shedBody},
+		{name: "load shed", server: "plain", hold: true, method: "POST", path: "/datasets/x/load",
+			status: 429, retryAfter: "1", want: shedBody},
 		{name: "models while shedding", server: "plain", hold: true, method: "GET", path: "/models",
 			status: 200, want: `{"count":0,"models":[]}` + "\n"},
 
@@ -106,7 +108,13 @@ func TestWireContract(t *testing.T) {
 		{name: "observe malformed", server: "plain", method: "POST", path: "/observe", body: "x", status: 400,
 			want: `{"error":"service: malformed request body: invalid character 'x' looking for beginning of value"}` + "\n"},
 
-		// Batch bounds.
+		// Request bounds.
+		{name: "predict negative epsilon", server: "plain", method: "POST", path: "/predict",
+			body: `{"dataset":"Wiki","scale":0.05,"algorithm":"PR","epsilon":-1}`, status: 400,
+			want: `{"error":"service: epsilon -1 must be a positive finite number"}` + "\n"},
+		{name: "predict too many training ratios", server: "plain", method: "POST", path: "/predict",
+			body: `{"dataset":"Wiki","algorithm":"PR","training_ratios":[` + strings.Repeat("0.1,", 16) + `0.1]}`, status: 400,
+			want: `{"error":"service: 17 training ratios exceed the limit of 16"}` + "\n"},
 		{name: "batch empty", server: "plain", method: "POST", path: "/predict/batch", body: `{"requests":[]}`, status: 400,
 			want: `{"error":"service: empty batch"}` + "\n"},
 		{name: "batch oversized", server: "plain", method: "POST", path: "/predict/batch",
