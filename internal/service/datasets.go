@@ -97,10 +97,6 @@ func (s *Service) resolveDataset(name string) (path string, fi os.FileInfo, snap
 	return "", nil, false, false
 }
 
-// describeDataset builds the DatasetInfo for one name: which forms exist
-// (snapshot first — the preference order resolveDataset loads by), the
-// size of the file a load would read, and the cached graph's shape when
-// it is loaded. ok is false when no recognized file exists for the name.
 // datasetFormats lists the on-disk forms for a resolved dataset,
 // preferred form first.
 func (s *Service) datasetFormats(name string, snapshot bool) []string {
@@ -116,6 +112,10 @@ func (s *Service) datasetFormats(name string, snapshot bool) []string {
 	return formats
 }
 
+// describeDataset builds the DatasetInfo for one name: which forms exist
+// (snapshot first — the preference order resolveDataset loads by), the
+// size of the file a load would read, and the cached graph's shape when
+// it is loaded. ok is false when no recognized file exists for the name.
 func (s *Service) describeDataset(name string) (DatasetInfo, bool) {
 	path, fi, snapshot, ok := s.resolveDataset(name)
 	if !ok {
