@@ -242,7 +242,7 @@ type Service struct {
 	lifeCancel    context.CancelFunc
 	draining      atomic.Bool
 	drainRejected atomic.Int64
-	// activeWork counts admitted prediction-work requests (predict, batch,
+	// activeWork counts admitted work requests (predict, batch, observe,
 	// dataset load) currently executing — the population a supervised
 	// drain waits for while the listener keeps answering 503s and probes.
 	activeWork atomic.Int64
